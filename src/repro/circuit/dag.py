@@ -393,120 +393,25 @@ class DAGCircuit:
         return f"DAGCircuit(qubits={self.num_qubits}, nodes={len(self.nodes)})"
 
 
-class ExecutionFrontier:
-    """Incremental front-layer tracker used by the routing passes.
-
-    Routing repeatedly asks "which gates are currently executable?" and "resolve this gate".
-    Rebuilding the front layer from scratch each time would be quadratic, so this helper keeps
-    the remaining in-degree of every unresolved node and exposes O(out-degree) resolution.
-    """
-
-    def __init__(self, dag: DAGCircuit) -> None:
-        self.dag = dag
-        self._remaining_pred: Dict[int, int] = {
-            nid: len(dag._predecessors[nid]) for nid in dag.nodes
-        }
-        self._front: List[DAGNode] = [
-            dag.nodes[nid]
-            for nid in dag._insertion_order
-            if nid in dag.nodes and self._remaining_pred[nid] == 0
-        ]
-        self._resolved: Set[int] = set()
-        self._version = 0
-        # The input DAG is never mutated while a frontier walks it, so the sorted
-        # successor lists (consulted once per resolve and per lookahead visit) are
-        # computed at most once per node.
-        self._sorted_successors: Dict[int, List[int]] = {}
-
-    @property
-    def version(self) -> int:
-        """Monotone counter bumped on every :meth:`resolve`.
-
-        The lookahead result is a pure function of the resolved/front state, so callers
-        issuing several queries between resolutions (e.g. a router inserting a run of
-        SWAPs without executing a gate) can reuse the previous answer while the version
-        is unchanged.
-        """
-        return self._version
-
-    def _successors_sorted(self, node_id: int) -> List[int]:
-        cached = self._sorted_successors.get(node_id)
-        if cached is None:
-            cached = sorted(self.dag._successors[node_id])
-            self._sorted_successors[node_id] = cached
-        return cached
-
-    @property
-    def front(self) -> List[DAGNode]:
-        return list(self._front)
-
-    def is_done(self) -> bool:
-        return not self._front
-
-    def num_remaining(self) -> int:
-        return len(self.dag.nodes) - len(self._resolved)
-
-    def resolve(self, node: DAGNode) -> List[DAGNode]:
-        """Mark a front-layer node as executed; returns newly executable nodes."""
-        if node not in self._front:
-            raise CircuitError(f"node {node.node_id} is not currently executable")
-        self._front.remove(node)
-        self._resolved.add(node.node_id)
-        self._version += 1
-        newly: List[DAGNode] = []
-        for succ_id in self._successors_sorted(node.node_id):
-            if succ_id not in self._remaining_pred:
-                continue
-            self._remaining_pred[succ_id] -= 1
-            if self._remaining_pred[succ_id] == 0 and succ_id not in self._resolved:
-                succ = self.dag.nodes[succ_id]
-                self._front.append(succ)
-                newly.append(succ)
-        return newly
-
-    def lookahead(self, size: int, *, two_qubit_only: bool = True) -> List[DAGNode]:
-        """The "extended layer": up to ``size`` closest successors of the front layer.
-
-        Traversal is breadth-first from the current front layer through unresolved nodes.
-        """
-        result: List[DAGNode] = []
-        visited: Set[int] = {n.node_id for n in self._front}
-        queue: List[int] = []
-        for node in self._front:
-            queue.extend(self._successors_sorted(node.node_id))
-        idx = 0
-        while idx < len(queue) and len(result) < size:
-            nid = queue[idx]
-            idx += 1
-            if nid in visited or nid in self._resolved or nid not in self.dag.nodes:
-                continue
-            visited.add(nid)
-            node = self.dag.nodes[nid]
-            if not two_qubit_only or node.is_two_qubit():
-                result.append(node)
-            queue.extend(self._successors_sorted(nid))
-        return result
-
-
 class StreamingDAG:
-    """Windowed dependency frontier over an instruction *stream*.
+    """Windowed dependency frontier over an instruction *stream* — the routers' frontier.
 
-    Presents the :class:`ExecutionFrontier` protocol (``front`` / ``is_done`` /
-    ``resolve`` / ``lookahead`` / ``version``) that the routers walk, but never holds the
-    whole circuit: at most ``window_gates`` unresolved operations are admitted from the
-    source iterator at a time, and :meth:`resolve` deletes the retired node's
-    node/edge/wire bookkeeping before admitting replacements, so peak memory is
-    O(window + wires), not O(gates).
+    Presents what the routers walk (``front`` / ``is_done`` / ``resolve`` /
+    ``lookahead`` / ``version``) but never has to hold the whole circuit: at most
+    ``window_gates`` unresolved operations are admitted from the source iterator at a
+    time, and :meth:`resolve` deletes the retired node's node/edge/wire bookkeeping
+    before admitting replacements, so peak memory is O(window + wires), not O(gates).
+    In-memory routing uses a window larger than the circuit, which admits everything
+    on the first fill (:func:`repro.transpiler.passes.sabre.whole_frontier`).
 
     Dependency edges are the same wire edges :meth:`DAGCircuit.add_node` builds: each
     admitted operation depends on the *live* tail of every wire it touches (tails whose
     node has already been resolved impose no constraint).  Predecessors are deduplicated
     exactly like ``DAGCircuit``'s predecessor *sets*, so a two-qubit gate sharing both
     wires with one predecessor counts it once.  Successor lists are naturally sorted and
-    unique (ids increase monotonically and each edge is recorded once), matching the
-    ``sorted(...)`` traversal order of :class:`ExecutionFrontier` — when the window covers
-    the whole circuit the two walks are step-for-step identical, which is what makes
-    whole-window streaming bit-identical to in-memory routing.
+    unique (ids increase monotonically and each edge is recorded once), so the walk
+    visits successors in admission order, and a bounded window walks step for step
+    like a whole-circuit one, up to the caps below.
 
     :meth:`lookahead` admits extra gates on demand (up to ``lookahead_spill`` times the
     window) when the BFS for the extended layer would otherwise run out of admitted
@@ -597,7 +502,7 @@ class StreamingDAG:
         self.admitted += 1
         return node
 
-    # -- ExecutionFrontier protocol ---------------------------------------
+    # -- frontier protocol -------------------------------------------------
 
     @property
     def version(self) -> int:
@@ -631,13 +536,14 @@ class StreamingDAG:
         """
         if node not in self._front:
             raise CircuitError(f"node {node.node_id} is not currently executable")
-        wires = list(DAGCircuit._node_wires(node))
-        while (
-            not self._source_done
-            and len(self.nodes) < self.max_live_gates
-            and any(self._wire_tail.get(wire) == node.node_id for wire in wires)
-        ):
-            self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
+        if not self._source_done:
+            wires = DAGCircuit._node_wires(node)
+            while (
+                not self._source_done
+                and len(self.nodes) < self.max_live_gates
+                and any(self._wire_tail.get(wire) == node.node_id for wire in wires)
+            ):
+                self._fill_to(min(self.max_live_gates, len(self.nodes) + self.window_gates))
         self._front.remove(node)
         self._version += 1
         nid = node.node_id
@@ -656,7 +562,9 @@ class StreamingDAG:
         return newly
 
     def lookahead(self, size: int, *, two_qubit_only: bool = True) -> List[DAGNode]:
-        """Extended layer over the live window (same BFS as :class:`ExecutionFrontier`).
+        """The "extended layer": up to ``size`` closest successors of the front layer.
+
+        Traversal is breadth-first from the current front layer through live nodes.
 
         A full-DAG BFS can reach gates *beyond* the admitted window in fewer hops than
         many admitted gates, so matching it takes more than having ``size`` results: the

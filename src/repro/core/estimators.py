@@ -12,8 +12,9 @@ CNOTs the SWAP would normally cost can be recovered by the subsequent optimizati
 
 The estimators inspect the *already routed* part of the circuit (the resolved layer), which
 is exactly the information the compiler has at SWAP-insertion time.  ``out`` is anything
-exposing a positional ``data`` list of instructions — the router's live
-:class:`~repro.transpiler.passes.sabre.RoutedOutput` during routing, or a plain
+whose ``data`` maps output positions to instructions — the router's live
+:class:`~repro.transpiler.passes.sabre.RoutedSink` during routing (which retains the
+positions the wire histories still reference), or a plain
 :class:`~repro.circuit.circuit.QuantumCircuit` in tests.
 """
 

@@ -76,20 +76,14 @@ class NASSCSwapRouter(SabreSwapRouter):
         self._estimator = OptimizationEstimator()
         self._estimates: Dict[Tuple[int, int], SwapEstimate] = {}
         self._estimate_memo: Dict[Tuple[int, int], Tuple[int, int, SwapEstimate]] = {}
-        self._out_circuit = None
 
     # ------------------------------------------------------------------
 
     def _reset_routing_memos(self) -> None:
-        # Called by the base class at the top of every routing run (in-memory and
-        # streaming alike), so stale estimates never leak across runs.
+        # Called by the base class at the top of every routing run, so stale estimates
+        # never leak across runs.
         self._estimates = {}
         self._estimate_memo = {}
-
-    def _execute_ready_gates(self, frontier, layout, out):
-        # Keep a handle on the routed output so the estimators can inspect the resolved layer.
-        self._out_circuit = out
-        return super()._execute_ready_gates(frontier, layout, out)
 
     # ------------------------------------------------------------------
     # Optimization-aware cost function (Eq. 2)
@@ -116,7 +110,7 @@ class NASSCSwapRouter(SabreSwapRouter):
         else:
             COUNTERS.inc("routing.nassc.estimates")
             estimate = self._estimator.estimate(
-                self._out_circuit,
+                self._out,
                 self._wire_history,
                 swap[0],
                 swap[1],
@@ -178,8 +172,7 @@ class NASSCSwapRouter(SabreSwapRouter):
     # Optimization-aware SWAP decomposition (Sec. IV-E)
     # ------------------------------------------------------------------
 
-    def _swap_label(self, swap, front_gates, layout, out) -> Optional[str]:
-        self._out_circuit = out
+    def _swap_label(self, swap) -> Optional[str]:
         estimate = self._estimates.get(swap)
         if estimate is None:
             estimate = self._estimate_for(swap)

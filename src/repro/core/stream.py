@@ -8,11 +8,12 @@ iterable), decomposed gate by gate, routed over a bounded
 chunks the moment they are placed — the full circuit, its DAG, and the routed result are
 never materialised at once.
 
-The routing loop, scoring kernels, and rng discipline are literally shared with the
-in-memory path (:meth:`SabreSwapRouter.route_stream_steps` drives the same
-``_route_loop`` as :meth:`~SabreSwapRouter.route_steps`), so a window that covers the
-whole circuit produces output byte-identical to ``qasm.dumps(transpile(...).circuit)``
-at the equivalent configuration (level ``O0``, ``layout_iterations=0``).
+The routing loop, scoring kernel, and rng discipline are literally shared with the
+in-memory path (:meth:`~SabreSwapRouter.route_steps` is
+:meth:`SabreSwapRouter.route_stream_steps` over a whole-circuit window), so a window
+that covers the whole circuit produces output byte-identical to
+``qasm.dumps(transpile(...).circuit)`` at the equivalent configuration (level ``O0``,
+``layout_iterations=0``).
 
 Streaming constraints (checked up front, with guidance in the error):
 

@@ -118,7 +118,17 @@ def weyl_coordinates(unitary: np.ndarray) -> Tuple[float, float, float]:
     su4, _ = _det_normalize(unitary)
     up = _BD @ su4 @ _B
     m2 = up.T @ up
-    eigvals = np.linalg.eigvals(m2)
+    try:
+        eigvals = np.linalg.eigvals(m2)
+    except np.linalg.LinAlgError:
+        # LAPACK's QR iteration can stall on an almost-diagonal ``m2`` whose
+        # off-diagonal entries are rounding noise (e.g. phased SWAPs); flushing that
+        # noise to zero lets it converge.
+        flushed = np.where(np.abs(m2) < 1e-12, 0.0, m2)
+        try:
+            eigvals = np.linalg.eigvals(flushed)
+        except np.linalg.LinAlgError as exc:
+            raise SynthesisError("weyl_coordinates: eigenvalues did not converge") from exc
     d = np.angle(eigvals) / 2.0
     total = float(np.sum(d))
     d[0] -= math.pi * round(total / math.pi)

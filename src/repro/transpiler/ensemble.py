@@ -11,7 +11,8 @@ The amortization trick is in the lockstep drive: every trial is a suspended
 :meth:`~repro.transpiler.passes.sabre.SabreSwapRouter.route_steps` generator that
 yields a :class:`~repro.transpiler.passes.sabre.ScoreRequest` at each heuristic
 scoring point.  Each round, the requests of all live trials are stacked into ONE
-batched call of the shared scoring kernel (:func:`repro.nativeext.front_ext_sums`) —
+batched call of the shared scoring kernel
+(:func:`repro.transpiler.passes.sabre.front_ext_sums`) —
 index tables are zero-padded to a common width, which is bit-exact because the
 distance matrix diagonal is ``0.0`` and the kernel accumulates non-negative terms in
 ascending column order — then each trial's slice is finalized with that trial's own
@@ -35,18 +36,17 @@ import numpy as np
 
 from ..exceptions import TranspilerError
 from ..hardware.coupling import CouplingMap
-from ..nativeext import front_ext_sums
 from ..obs.counters import COUNTERS
 from ..obs.tracer import current_tracer
 from .passmanager import PropertySet, TransformationPass
 from .passes.layout import Layout
 from .passes.sabre import (
-    _VECTOR_SAFE_SCORE_SWAPS,
     RoutingResult,
     SabreSwapRouter,
     ScoreRequest,
+    front_ext_sums,
     layout_selection_steps,
-    prepare_layout_dags,
+    prepare_layout_circuits,
 )
 
 
@@ -157,8 +157,6 @@ def _batchable(request: ScoreRequest, shared_distance: np.ndarray) -> bool:
         cls._score_candidates is SabreSwapRouter._score_candidates
         and cls._front_ext_sums is SabreSwapRouter._front_ext_sums
         and cls._mapped_index_arrays is SabreSwapRouter._mapped_index_arrays
-        and cls._compute_scores is SabreSwapRouter._compute_scores
-        and cls._score_swap in _VECTOR_SAFE_SCORE_SWAPS
         and request.router.distance is shared_distance
     )
 
@@ -330,14 +328,14 @@ class EnsembleRouting(TransformationPass):
             outcome=TrialOutcome(index, layout_seed, routing_seed),
         )
 
-    def _trial_steps(self, trial: _Trial, dag, traversal_dags):
+    def _trial_steps(self, trial: _Trial, dag, traversals):
         """Full trial flow as one generator: random layout, refinement, routing."""
         layout = Layout.random(
             dag.num_qubits, self.coupling_map.num_qubits, seed=trial.layout_seed
         )
-        if traversal_dags is not None:
+        if traversals is not None:
             layout = yield from layout_selection_steps(
-                trial.layout_router, layout, self.layout_iterations, *traversal_dags
+                trial.layout_router, layout, self.layout_iterations, *traversals
             )
         trial.routing_phase = True
         result = yield from trial.router.route_steps(dag, layout)
@@ -354,11 +352,11 @@ class EnsembleRouting(TransformationPass):
         parent_id = None
         if tracer is not None and tracer._stack:
             parent_id = tracer._stack[-1].span_id
-        traversal_dags = prepare_layout_dags(dag)
+        traversals = prepare_layout_circuits(dag)
         trials = []
         for index in indices:
             trial = self._make_trial(index, *seeds[index])
-            trial.steps = self._trial_steps(trial, dag, traversal_dags)
+            trial.steps = self._trial_steps(trial, dag, traversals)
             if tracer is not None:
                 trial.span = tracer.make_span(
                     f"routing.trial{index}",

@@ -1,8 +1,8 @@
-"""Unit tests for the DAG circuit representation and the execution frontier."""
+"""Unit tests for the DAG circuit representation and the whole-circuit routing frontier."""
 
 import pytest
 
-from repro.circuit import DAGCircuit, ExecutionFrontier, QuantumCircuit
+from repro.circuit import DAGCircuit, QuantumCircuit, StreamingDAG
 from repro.exceptions import CircuitError
 
 
@@ -96,10 +96,17 @@ class TestRemoveNode:
             dag.remove_node(node)
 
 
-class TestExecutionFrontier:
+def whole_window_frontier(dag: DAGCircuit) -> StreamingDAG:
+    """A frontier whose window holds the whole DAG, as in-memory routing opens it."""
+    return StreamingDAG(
+        dag.op_nodes(), dag.num_qubits, dag.num_clbits, window_gates=len(dag) + 1
+    )
+
+
+class TestWholeWindowFrontier:
     def test_resolve_unlocks_successors(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window_frontier(dag)
         start_names = {n.name for n in frontier.front}
         assert start_names == {"h", "cx"}
         h_node = next(n for n in frontier.front if n.name == "h")
@@ -108,14 +115,15 @@ class TestExecutionFrontier:
 
     def test_cannot_resolve_blocked_node(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
-        blocked = dag.op_nodes()[3]  # cx(1,2) depends on both earlier CNOTs
+        frontier = whole_window_frontier(dag)
+        blocked = frontier.nodes[3]  # cx(1,2) depends on both earlier CNOTs
+        assert blocked.qubits == (1, 2)
         with pytest.raises(CircuitError):
             frontier.resolve(blocked)
 
     def test_full_resolution_drains_dag(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window_frontier(dag)
         resolved = 0
         while not frontier.is_done():
             frontier.resolve(frontier.front[0])
@@ -125,7 +133,7 @@ class TestExecutionFrontier:
 
     def test_lookahead_returns_upcoming_two_qubit_gates(self):
         dag = DAGCircuit.from_circuit(layered_circuit())
-        frontier = ExecutionFrontier(dag)
+        frontier = whole_window_frontier(dag)
         lookahead = frontier.lookahead(5)
         # Successors of the front layer that are not themselves executable yet.
         assert [n.qubits for n in lookahead] == [(0, 1), (1, 2)]
@@ -135,5 +143,5 @@ class TestExecutionFrontier:
         circuit = QuantumCircuit(2)
         for _ in range(10):
             circuit.cx(0, 1)
-        frontier = ExecutionFrontier(DAGCircuit.from_circuit(circuit))
+        frontier = whole_window_frontier(DAGCircuit.from_circuit(circuit))
         assert len(frontier.lookahead(3)) == 3

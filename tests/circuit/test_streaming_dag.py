@@ -1,20 +1,84 @@
 """Tests for :class:`repro.circuit.StreamingDAG` — the windowed dependency frontier.
 
 The contract: walked with the same resolve sequence, a StreamingDAG must be
-step-for-step identical to an :class:`ExecutionFrontier` over the full DAG (front
-content *and order*, lookahead content and order), while keeping the live node count
-bounded by the window and its spill allowance.
+step-for-step identical to a frontier over the full DAG (front content *and order*,
+lookahead content and order), while keeping the live node count bounded by the window
+and its spill allowance.  :class:`FullDAGFrontier` below is that reference: an
+independent execution frontier that walks a materialised :class:`DAGCircuit` through
+its own predecessor/successor sets.
 """
+
+from typing import Dict, List, Set
 
 import pytest
 
-from repro.circuit import DAGCircuit, ExecutionFrontier, StreamingDAG, random_circuit
+from repro.circuit import DAGCircuit, DAGNode, StreamingDAG, random_circuit
 from repro.circuit.random import random_circuit_stream
 from repro.exceptions import CircuitError
 
 
+class FullDAGFrontier:
+    """Test oracle: incremental front-layer tracker over a whole :class:`DAGCircuit`.
+
+    Keeps the remaining in-degree of every unresolved node; successors are visited in
+    sorted node-id order, both when resolving and in the lookahead BFS.
+    """
+
+    def __init__(self, dag: DAGCircuit) -> None:
+        self.dag = dag
+        self._remaining_pred: Dict[int, int] = {
+            nid: len(dag._predecessors[nid]) for nid in dag.nodes
+        }
+        self._front: List[DAGNode] = [
+            node for node in dag.op_nodes() if self._remaining_pred[node.node_id] == 0
+        ]
+        self._resolved: Set[int] = set()
+
+    @property
+    def front(self) -> List[DAGNode]:
+        return list(self._front)
+
+    def is_done(self) -> bool:
+        return not self._front
+
+    def resolve(self, node: DAGNode) -> List[DAGNode]:
+        """Mark a front-layer node as executed; returns newly executable nodes."""
+        if node not in self._front:
+            raise CircuitError(f"node {node.node_id} is not currently executable")
+        self._front.remove(node)
+        self._resolved.add(node.node_id)
+        newly: List[DAGNode] = []
+        for succ_id in sorted(self.dag._successors[node.node_id]):
+            self._remaining_pred[succ_id] -= 1
+            if self._remaining_pred[succ_id] == 0:
+                succ = self.dag.nodes[succ_id]
+                self._front.append(succ)
+                newly.append(succ)
+        return newly
+
+    def lookahead(self, size: int) -> List[DAGNode]:
+        """Up to ``size`` closest two-qubit successors of the front layer (BFS)."""
+        result: List[DAGNode] = []
+        visited: Set[int] = {n.node_id for n in self._front}
+        queue: List[int] = []
+        for node in self._front:
+            queue.extend(sorted(self.dag._successors[node.node_id]))
+        idx = 0
+        while idx < len(queue) and len(result) < size:
+            nid = queue[idx]
+            idx += 1
+            if nid in visited or nid in self._resolved:
+                continue
+            visited.add(nid)
+            node = self.dag.nodes[nid]
+            if node.is_two_qubit():
+                result.append(node)
+            queue.extend(sorted(self.dag._successors[nid]))
+        return result
+
+
 def frontier_pair(circuit, window_gates):
-    full = ExecutionFrontier(DAGCircuit.from_circuit(circuit))
+    full = FullDAGFrontier(DAGCircuit.from_circuit(circuit))
     streamed = StreamingDAG(
         iter(circuit.data), circuit.num_qubits, circuit.num_clbits,
         window_gates=window_gates,

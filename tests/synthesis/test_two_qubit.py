@@ -75,6 +75,23 @@ class TestWeylCoordinates:
         with pytest.raises(SynthesisError):
             weyl_coordinates(np.ones((4, 4)))
 
+    def test_phased_swap_that_stalls_eigvals_converges(self):
+        # LAPACK fails to converge on this matrix's m2 unless its 1e-17 noise is flushed.
+        a = -0.997840902278653 - 0.06567749797094749j
+        b = -0.06567749797094749 - 0.997840902278653j
+        u = np.array([[a, 0, 0, 0], [0, 0, a, 0], [0, b, 0, 0], [0, 0, 0, b]])
+        coords = weyl_coordinates(u)
+        assert np.allclose(coords, (QUARTER_PI, QUARTER_PI, QUARTER_PI), atol=1e-7)
+        assert cnot_count(u) == 3
+
+    def test_eigvals_failure_after_retry_raises_synthesis_error(self, monkeypatch):
+        def never_converges(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", never_converges)
+        with pytest.raises(SynthesisError, match="did not converge"):
+            weyl_coordinates(gate("cx").matrix())
+
 
 class TestCanonicalizeCoordinates:
     def test_already_canonical(self):
