@@ -8,16 +8,11 @@ staged :class:`~repro.transpiler.builder.PipelineBuilder` composes the pass mana
 declared stages.  At level ``O1`` with ``routing="sabre"``/``"nassc"`` the composed
 pipeline is exactly the paper's evaluation pipeline, so differences in the reported
 metrics still isolate the paper's contribution.
-
-The historical flat-kwarg signature ``transpile(circuit, coupling_map, routing=...,
-calibration=..., ...)`` keeps working as a thin deprecation shim that folds the kwargs
-into a target and options before entering the same engine.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -28,28 +23,16 @@ from ..hardware.calibration import DeviceCalibration
 from ..hardware.coupling import CouplingMap
 from ..hardware.target import Target
 from ..obs.tracer import active_tracer, env_trace_path
-from ..transpiler.builder import LEVEL_FIXED_POINT_ITERATIONS, PipelineBuilder
+from ..transpiler.builder import PipelineBuilder
 from ..transpiler.passmanager import PropertySet
 from ..transpiler.passes.layout import Layout
-from ..transpiler.registry import available_routings
 from .nassc import NASSCConfig
 from .options import TranspileOptions
-
-#: Registered routing-method names at import time (built-ins only: env plugin modules
-#: are deliberately not loaded here, since they import ``repro`` back while it is still
-#: initialising).  Deprecated snapshot kept for backward compatibility — consult
-#: :func:`repro.transpiler.registry.available_routings` for the live list.
-ROUTING_METHODS = tuple(available_routings(load_plugins=False))
 
 #: Version of the transpiler pipeline's structure/semantics.  Bumped whenever a refactor
 #: could change compiled output or the meaning of recorded metrics; the service layer folds
 #: it into job fingerprints so refactored pipelines never serve stale cached results.
 PIPELINE_VERSION = 5
-
-#: Iteration cap of the ``O1`` post-routing optimization loop (kept as a module constant
-#: for backward compatibility; per-level caps live in
-#: :data:`repro.transpiler.builder.LEVEL_FIXED_POINT_ITERATIONS`).
-MAX_OPT_LOOP_ITERATIONS = LEVEL_FIXED_POINT_ITERATIONS["O1"]
 
 
 @dataclass
@@ -163,38 +146,16 @@ class TranspileResult:
 
 
 # ---------------------------------------------------------------------------
-# Target/options resolution (the legacy-kwarg deprecation shim lives here)
+# Target/options resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_target(
-    target: Union[Target, CouplingMap, None],
-    calibration: Optional[DeviceCalibration],
-    final_basis: Optional[str],
-) -> Target:
-    """Normalise the device argument to a :class:`Target`, warning on the legacy forms."""
-    if isinstance(target, Target):
-        if calibration is not None or final_basis is not None:
-            raise TranspilerError(
-                "pass device properties (calibration, final_basis) on the Target, "
-                "not as transpile() kwargs"
-            )
-        return target
-    if target is not None and not isinstance(target, CouplingMap):
-        raise TranspilerError(
-            f"expected a Target or CouplingMap, got {type(target).__name__}"
-        )
-    if isinstance(target, CouplingMap) or calibration is not None or final_basis is not None:
-        warnings.warn(
-            "passing a bare coupling map / device kwargs to transpile() is deprecated; "
-            "build a repro.Target instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return Target(
-        coupling_map=target,
-        calibration=calibration,
-        final_basis=final_basis if final_basis is not None else "zsx",
-    )
+def _resolve_target(target: Optional[Target]) -> Target:
+    """The device argument as a :class:`Target` (``None`` is an unconstrained device)."""
+    if target is None:
+        return Target()
+    if not isinstance(target, Target):
+        raise TranspilerError(f"expected a Target, got {type(target).__name__}")
+    return target
 
 
 def _resolve_options(options: Optional[TranspileOptions], overrides: Dict) -> TranspileOptions:
@@ -208,21 +169,18 @@ def _resolve_options(options: Optional[TranspileOptions], overrides: Dict) -> Tr
 
 def transpile(
     circuit: QuantumCircuit,
-    target: Union[Target, CouplingMap, None] = None,
+    target: Optional[Target] = None,
     options: Optional[TranspileOptions] = None,
     *,
     routing: Optional[str] = None,
     level: Optional[Union[str, int]] = None,
     seed: Optional[int] = None,
     nassc_config: Optional[NASSCConfig] = None,
-    calibration: Optional[DeviceCalibration] = None,
     noise_aware: Optional[bool] = None,
     extended_set_size: Optional[int] = None,
     extended_set_weight: Optional[float] = None,
     layout_iterations: Optional[int] = None,
-    final_basis: Optional[str] = None,
     check: Optional[bool] = None,
-    coupling_map: Optional[CouplingMap] = None,
     best_of: Optional[int] = None,
     schedule: Optional[str] = None,
     route_cost: Optional[str] = None,
@@ -235,16 +193,9 @@ def transpile(
     (``transpile(circuit, target, level="O2")``).  Defaults mirror the paper's
     experimental configuration (Sec. V): extended layer size 20 with weight 0.5,
     SABRE-style reverse-traversal layout, all NASSC optimizations enabled, level ``O1``.
-
-    Passing a bare :class:`CouplingMap` — positionally or via the historical
-    ``coupling_map=`` keyword — plus ``calibration=``/``final_basis=`` is the deprecated
-    legacy form; it still works but emits a :class:`DeprecationWarning`.
+    Without a target the circuit compiles for an unconstrained device.
     """
-    if coupling_map is not None:
-        if target is not None:
-            raise TranspilerError("pass either target or the legacy coupling_map, not both")
-        target = coupling_map
-    resolved_target = _resolve_target(target, calibration, final_basis)
+    resolved_target = _resolve_target(target)
     resolved_options = _resolve_options(
         options,
         {

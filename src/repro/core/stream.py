@@ -45,7 +45,6 @@ from ..circuit.circuit import Instruction, QuantumCircuit
 from ..circuit.dag import StreamingDAG
 from ..circuit.qasm import QASMStreamReader, header_lines, instruction_line
 from ..exceptions import TranspilerError
-from ..hardware.coupling import CouplingMap
 from ..hardware.target import Target
 from ..obs.counters import COUNTERS
 from ..transpiler.passes.basis import _DIRECTIVES, _ROUTABLE_1Q, _ROUTABLE_2Q, Decompose
@@ -173,7 +172,7 @@ def _validate_stream_options(options: TranspileOptions, plan) -> None:
 
 def transpile_stream(
     source: Union[QuantumCircuit, QASMStreamReader, Iterable[Instruction]],
-    target: Union[Target, CouplingMap, None] = None,
+    target: Optional[Target] = None,
     options: Optional[TranspileOptions] = None,
     *,
     window_gates: int = DEFAULT_WINDOW_GATES,
@@ -215,7 +214,7 @@ def transpile_stream(
     if chunk_gates < 1:
         raise TranspilerError(f"chunk_gates must be >= 1, got {chunk_gates}")
 
-    resolved_target = _resolve_target(target, None, None)
+    resolved_target = _resolve_target(target)
     base = options if options is not None else TranspileOptions(level="O0", layout_iterations=0)
     resolved = _resolve_options(
         base,

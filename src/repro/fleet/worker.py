@@ -139,7 +139,11 @@ class FleetWorkerServer(ReproServer):
             self._absorb(data)
 
     async def _membership_loop(self) -> None:
-        while True:
+        # ``stop()`` sets ``draining`` before cancelling this task.  Checking it ends the
+        # loop even when the cancellation is swallowed: Python 3.11's ``asyncio.wait_for``
+        # (inside ``fetch``) returns the result instead of raising when the heartbeat
+        # request completes in the same loop iteration as the cancel.
+        while not self.draining:
             if not self.registered:
                 await self._register()
             else:

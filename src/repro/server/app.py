@@ -52,6 +52,7 @@ from ..hardware.topologies import TOPOLOGY_CATALOG
 from ..obs.counters import COUNTERS
 from ..obs.tracer import parse_traceparent
 from ..service.cache import ResultCache
+from ..service.executor import BatchTranspiler
 from ..service.jobs import TranspileJob
 from ..transpiler.registry import registered_methods
 from .http import (  # noqa: F401 - HTTPError/Request/ThreadedServer are re-exported API
@@ -105,10 +106,8 @@ class ReproServer(AsyncHTTPServer):
         self.metrics = ServerMetrics()
         self.runner = JobRunner(
             self.queue,
-            self.cache,
+            BatchTranspiler(max_workers, cache=self.cache, use_processes=use_processes),
             concurrency=concurrency,
-            max_workers=max_workers,
-            use_processes=use_processes,
             metrics=self.metrics,
             ensemble_fanout_threshold=ensemble_fanout_threshold,
         )
@@ -481,9 +480,9 @@ class ReproServer(AsyncHTTPServer):
             "admitted_depth": admitted,
             "queue_bound": self.queue.max_pending,
             "shedding": shedding,
-            "workers": self.runner.max_workers,
+            "workers": self.runner.engine.max_workers,
             "concurrency": self.runner.concurrency,
-            "pool": self.runner.pool_kind,
+            "pool": self.runner.engine.pool_kind,
             "cache": self.cache.stats.to_dict(),
         }
 

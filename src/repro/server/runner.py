@@ -1,30 +1,26 @@
-"""Bridge between the server's asyncio queue and the batch transpiler's worker pool.
+"""Bridge between the server's asyncio queue and the execution engine's worker pool.
 
 :class:`JobRunner` owns N concurrent dispatcher tasks on the event loop.  Each one pops
-a :class:`~repro.server.queue.JobRecord`, re-checks the shared
+a :class:`~repro.server.queue.JobRecord`, re-checks the engine's shared
 :class:`~repro.service.cache.ResultCache` (a duplicate submitted while its twin was
-running finishes here without recomputing), and otherwise ships the job's dict payload
-to :func:`repro.service.executor._execute_one` — the *same* worker entry point the
-offline :class:`~repro.service.BatchTranspiler` uses — inside a
-``concurrent.futures`` pool via ``loop.run_in_executor``, so transpilation never blocks
+running finishes here without recomputing), and otherwise awaits
+:meth:`BatchTranspiler.submit <repro.service.executor.BatchTranspiler.submit>` — the
+same pool and worker entry the offline batch path uses — so transpilation never blocks
 the event loop and server results are bit-identical to the batch path for the same
-fingerprint.
+fingerprint.  Pool creation, the process-to-thread fallback and recovery from a dead
+worker all belong to the engine; the runner only plans and reduces ensemble fan-out,
+runs streaming jobs on a server thread, and records metrics.
 
-The pool is processes by default (CPU-bound passes), falling back to threads when
-process pools are unavailable (the same degradation the batch executor implements);
-``use_processes=False`` forces threads, which tests and the in-process example use to
-avoid fork costs.  Shutdown is graceful: ``stop()`` lets in-flight jobs finish (bounded
-by ``timeout``), cancels the dispatcher tasks, and tears the pool down.
+Shutdown is graceful: ``stop()`` lets in-flight jobs finish (bounded by ``timeout``),
+cancels the dispatcher tasks, and closes the engine's pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, List, Optional
 
-from ..service.cache import ResultCache
-from ..service.executor import _execute_one, _execute_trials, default_worker_count
+from ..service.executor import BatchTranspiler
 from ..service.jobs import JobError
 from ..transpiler.registry import get_routing
 from .metrics import ServerMetrics
@@ -32,62 +28,43 @@ from .queue import JobQueue, JobRecord
 
 
 class JobRunner:
-    """Drains the job queue onto a worker pool, settling records as jobs finish."""
+    """Drains the job queue onto the engine's worker pool, settling records as jobs finish."""
 
     def __init__(
         self,
         queue: JobQueue,
-        cache: ResultCache,
+        engine: BatchTranspiler,
         *,
         concurrency: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        use_processes: bool = True,
         metrics: Optional[ServerMetrics] = None,
         ensemble_fanout_threshold: int = 8,
     ) -> None:
         self.queue = queue
-        self.cache = cache
+        self.engine = engine
         #: Fan a ``best_of=K`` job's trials across the pool when ``K`` reaches this
         #: threshold (and more than one worker exists).  Small ensembles stay in one
         #: worker, where the batched scoring kernel amortises them more cheaply than
         #: process round trips would.
         self.ensemble_fanout_threshold = max(2, int(ensemble_fanout_threshold))
-        self.max_workers = default_worker_count() if max_workers is None else max(1, max_workers)
         #: Dispatcher-task count — how many jobs may be in flight at once.  ``0`` accepts
         #: submissions without ever running them (tests use this to pin jobs in QUEUED).
-        self.concurrency = self.max_workers if concurrency is None else max(0, concurrency)
-        self.use_processes = use_processes
+        self.concurrency = engine.max_workers if concurrency is None else max(0, concurrency)
         self.metrics = metrics if metrics is not None else ServerMetrics()
-        self._pool: Optional[Executor] = None
-        self._pool_kind = "none"
         self._tasks: List[asyncio.Task] = []
         self._started = False
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Create the pool and spawn the dispatcher tasks (idempotent)."""
+        """Create the engine's pool and spawn the dispatcher tasks (idempotent)."""
         if self._started:
             return
         self._started = True
         if self.concurrency > 0:
-            self._pool = self._make_pool()
+            self.engine.start()
         loop = asyncio.get_running_loop()
         for index in range(self.concurrency):
             self._tasks.append(loop.create_task(self._dispatch_loop(), name=f"repro-worker-{index}"))
-
-    def _make_pool(self) -> Executor:
-        if self.use_processes:
-            try:
-                pool = ProcessPoolExecutor(max_workers=self.max_workers)
-                self._pool_kind = "process"
-                return pool
-            except (OSError, PermissionError, RuntimeError):
-                pass  # fork disallowed in this environment — degrade to threads
-        self._pool_kind = "thread"
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-transpile"
-        )
 
     async def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
         """Stop dispatching: optionally wait for in-flight jobs, then tear down."""
@@ -105,15 +82,8 @@ class JobRunner:
         self._tasks.clear()
         # No dispatcher will ever pop the backlog now — settle it so waiters wake up.
         self.queue.fail_pending("server shut down before the job started")
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        self.engine.close()
         self._started = False
-
-    @property
-    def pool_kind(self) -> str:
-        """``"process"``, ``"thread"``, or ``"none"`` — what executes the jobs."""
-        return self._pool_kind
 
     # -- dispatch -------------------------------------------------------------
 
@@ -157,7 +127,7 @@ class JobRunner:
             return
         # Re-check the shared cache off-loop: a twin job may have finished (or the batch
         # CLI may have written this fingerprint) since this record was admitted.
-        payload = await loop.run_in_executor(None, self.cache.get, record.fingerprint)
+        payload = await loop.run_in_executor(None, self.engine.cache.get, record.fingerprint)
         if payload is not None:
             record.finish(payload, from_cache=True)
             return
@@ -168,11 +138,9 @@ class JobRunner:
             trace_ctx = {"trace_id": record.trace_id, "parent_id": record.server_span_id}
         chunks = self._ensemble_chunks(record)
         if chunks is not None:
-            raw = await self._run_fanned(loop, record, chunks, trace_ctx)
+            raw = await self._run_fanned(record, chunks, trace_ctx)
         else:
-            raw = await loop.run_in_executor(
-                self._pool, _execute_one, record.job.to_dict(), trace_ctx
-            )
+            raw = await asyncio.wrap_future(self.engine.submit(record.job, trace_ctx=trace_ctx))
         # Publish to the cache BEFORE settling the record: a client released by its
         # long-poll may resubmit the same fingerprint immediately, and that submission
         # must find the cache entry already in place.  ``raw["result"]`` is trace-free
@@ -180,7 +148,7 @@ class JobRunner:
         # cached payloads never leak another request's span tree.
         if raw.get("ok", False):
             await loop.run_in_executor(
-                None, self.cache.put, record.fingerprint, raw["result"]
+                None, self.engine.cache.put, record.fingerprint, raw["result"]
             )
         self._settle(record, raw)
 
@@ -256,10 +224,11 @@ class JobRunner:
         """Contiguous trial-index chunks for a large best-of-N job, or ``None``.
 
         ``None`` means "run the job whole": the ensemble is small enough that the
-        batched in-process kernels beat process round trips, the pool has a single
+        batched in-process kernels beat process round trips, the engine has a single
         worker anyway, or the routing method opts out of best-of.
         """
-        if self._pool is None or self.max_workers < 2:
+        workers = self.engine.max_workers
+        if workers < 2:
             return None
         try:
             trials = record.job.options().effective_best_of
@@ -268,7 +237,7 @@ class JobRunner:
             return None
         if not supported or trials < self.ensemble_fanout_threshold:
             return None
-        num_chunks = min(self.max_workers, trials)
+        num_chunks = min(workers, trials)
         bounds = [round(i * trials / num_chunks) for i in range(num_chunks + 1)]
         return [
             list(range(bounds[i], bounds[i + 1]))
@@ -278,7 +247,6 @@ class JobRunner:
 
     async def _run_fanned(
         self,
-        loop: asyncio.AbstractEventLoop,
         record: JobRecord,
         chunks: List[List[int]],
         trace_ctx: Optional[Dict],
@@ -292,10 +260,11 @@ class JobRunner:
         """
         self.metrics.ensemble_fanout.inc()
         self.metrics.ensemble_trials.inc(sum(len(chunk) for chunk in chunks))
-        payload = record.job.to_dict()
         raws = await asyncio.gather(
             *(
-                loop.run_in_executor(self._pool, _execute_trials, payload, chunk, trace_ctx)
+                asyncio.wrap_future(
+                    self.engine.submit(record.job, trace_ctx=trace_ctx, trials=chunk)
+                )
                 for chunk in chunks
             )
         )

@@ -7,14 +7,15 @@ the execution services real transpiler stacks ship above their circuit compilers
   deterministic content fingerprint.
 * :class:`ResultCache` / :class:`CacheStats` — content-addressed result cache (in-memory
   LRU plus optional on-disk JSON store).
-* :class:`BatchTranspiler` — fans job batches across a process pool with chunking,
-  per-job error capture and progress callbacks.
+* :class:`BatchTranspiler` — the execution engine: owns the one worker pool, fans job
+  batches across it with per-job error capture and progress callbacks, and recovers
+  from a dead worker.  The HTTP server's runner drives the same engine.
 * ``python -m repro`` (:mod:`repro.service.cli`) — command-line front end that regenerates
   the paper's artifacts through the batch executor.
 """
 
 from .cache import CacheStats, ResultCache
-from .executor import BatchTranspiler, default_worker_count, transpile_batch
+from .executor import BatchTranspiler, default_worker_count
 from .jobs import JobError, JobOutcome, TranspileJob, jobs_for_seeds
 
 __all__ = [
@@ -26,5 +27,4 @@ __all__ = [
     "TranspileJob",
     "default_worker_count",
     "jobs_for_seeds",
-    "transpile_batch",
 ]

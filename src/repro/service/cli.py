@@ -652,7 +652,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = await server.start()
         print(
             f"repro server listening on http://{host}:{port} "
-            f"(pool={server.runner.pool_kind} x{server.runner.max_workers}, "
+            f"(pool={server.runner.engine.pool_kind} x{server.runner.engine.max_workers}, "
             f"concurrency={server.runner.concurrency}, queue bound={args.queue_bound}, "
             f"cache dir={args.cache_dir or 'memory only'})",
             file=sys.stderr,

@@ -1,5 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
+import os
+import signal
+from multiprocessing.connection import wait
+
 import numpy as np
 import pytest
 
@@ -40,3 +44,19 @@ def bell_pair() -> QuantumCircuit:
     circuit.h(0)
     circuit.cx(0, 1)
     return circuit
+
+
+def kill_pool_workers(engine) -> None:
+    """SIGKILL every worker process of a :class:`BatchTranspiler`'s pool and wait for
+    them to die.  Skips the test where process pools cannot be created."""
+    if engine.pool_kind != "process":
+        pytest.skip("process pools unavailable in this environment")
+    processes = list(engine._pool._processes.values())
+    assert processes, "the pool has no live worker processes"
+    for process in processes:
+        os.kill(process.pid, signal.SIGKILL)
+    sentinels = [process.sentinel for process in processes]
+    while sentinels:
+        ready = wait(sentinels, timeout=30)
+        assert ready, "killed pool workers did not exit"
+        sentinels = [sentinel for sentinel in sentinels if sentinel not in ready]

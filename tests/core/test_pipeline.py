@@ -9,6 +9,7 @@ from repro.core import NASSCConfig, compare_routings, optimize_logical, transpil
 from repro.evaluation.metrics import is_equivalent_after_routing, routed_state_fidelity
 from repro.exceptions import TranspilerError
 from repro.hardware import (
+    Target,
     fake_montreal_calibration,
     grid_coupling_map,
     linear_coupling_map,
@@ -29,7 +30,7 @@ SMALL_BENCHMARKS = [
 class TestTranspileBasics:
     def test_unknown_routing_rejected(self):
         with pytest.raises(TranspilerError):
-            transpile(QuantumCircuit(2), linear_coupling_map(3), routing="magic")
+            transpile(QuantumCircuit(2), Target(linear_coupling_map(3)), routing="magic")
 
     def test_coupling_map_required(self):
         with pytest.raises(TranspilerError):
@@ -37,7 +38,7 @@ class TestTranspileBasics:
 
     def test_noise_aware_requires_calibration(self):
         with pytest.raises(TranspilerError):
-            transpile(QuantumCircuit(2), linear_coupling_map(3), routing="sabre", noise_aware=True)
+            transpile(QuantumCircuit(2), Target(linear_coupling_map(3)), routing="sabre", noise_aware=True)
 
     def test_routing_none_only_optimizes(self):
         circuit = grover_n4()
@@ -49,13 +50,13 @@ class TestTranspileBasics:
         circuit = QuantumCircuit(3)
         circuit.h(0)
         circuit.ccx(0, 1, 2)
-        result = transpile(circuit, linear5, routing="sabre", seed=0)
+        result = transpile(circuit, Target(linear5), routing="sabre", seed=0)
         names = {inst.name for inst in result.circuit.data}
         assert names <= {"cx", "rz", "sx", "x", "barrier", "measure"}
 
     def test_result_metrics_consistent(self, linear5):
         circuit = grover_n4()
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(linear5), routing="nassc", seed=0)
         assert result.cx_count == result.circuit.cx_count()
         assert result.depth == result.circuit.depth()
         assert result.transpile_time > 0
@@ -76,14 +77,14 @@ class TestPipelineCorrectness:
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_benchmarks_preserved_on_linear_topology(self, name, circuit, routing):
         coupling = linear_coupling_map(max(circuit.num_qubits + 1, 6))
-        result = transpile(circuit, coupling, routing=routing, seed=0)
+        result = transpile(circuit, Target(coupling), routing=routing, seed=0)
         assert not coupling_violations(result.circuit, coupling)
         assert is_equivalent_after_routing(circuit, result)
 
     @pytest.mark.parametrize("routing", ["sabre", "nassc"])
     def test_benchmarks_preserved_on_montreal(self, routing, montreal):
         circuit = grover_n4()
-        result = transpile(circuit, montreal, routing=routing, seed=1)
+        result = transpile(circuit, Target(montreal), routing=routing, seed=1)
         assert not coupling_violations(result.circuit, montreal)
         assert is_equivalent_after_routing(circuit, result)
 
@@ -91,7 +92,7 @@ class TestPipelineCorrectness:
     def test_random_circuits_preserved(self, seed, grid9):
         circuit = random_circuit(6, 6, seed=seed)
         for routing in ("sabre", "nassc"):
-            result = transpile(circuit, grid9, routing=routing, seed=seed)
+            result = transpile(circuit, Target(grid9), routing=routing, seed=seed)
             assert routed_state_fidelity(circuit, result) > 1 - 1e-6
 
     def test_noise_aware_pipelines_preserved(self, montreal):
@@ -99,8 +100,8 @@ class TestPipelineCorrectness:
         circuit = bv_n5()
         for routing in ("sabre", "nassc"):
             result = transpile(
-                circuit, montreal, routing=routing, seed=0,
-                noise_aware=True, calibration=calibration,
+                circuit, Target(montreal, calibration=calibration), routing=routing, seed=0,
+                noise_aware=True,
             )
             assert is_equivalent_after_routing(circuit, result)
 
@@ -110,7 +111,7 @@ class TestPipelineCorrectness:
         circuit.cx(0, 2)
         for q in range(3):
             circuit.measure(q, q)
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(linear5), routing="nassc", seed=0)
         assert result.circuit.count_gate("measure") == 3
 
 
@@ -122,23 +123,23 @@ class TestPipelineQuality:
         for circuit in (grover_n4(), vqe_ansatz(6, reps=2), adder_n10()):
             original = optimize_logical(circuit).cx_count()
             for seed in (0, 1):
-                sabre = transpile(circuit, montreal, routing="sabre", seed=seed)
-                nassc = transpile(circuit, montreal, routing="nassc", seed=seed)
+                sabre = transpile(circuit, Target(montreal), routing="sabre", seed=seed)
+                nassc = transpile(circuit, Target(montreal), routing="nassc", seed=seed)
                 total_sabre += sabre.cx_count - original
                 total_nassc += nassc.cx_count - original
         assert total_nassc < total_sabre
 
     def test_nassc_never_catastrophically_worse(self, linear10):
         circuit = qft(6)
-        sabre = transpile(circuit, linear10, routing="sabre", seed=0)
-        nassc = transpile(circuit, linear10, routing="nassc", seed=0)
+        sabre = transpile(circuit, Target(linear10), routing="sabre", seed=0)
+        nassc = transpile(circuit, Target(linear10), routing="nassc", seed=0)
         assert nassc.cx_count <= 2 * sabre.cx_count
 
     def test_ablation_configs_all_run(self, linear5):
         circuit = grover_n4()
         counts = []
         for config in NASSCConfig.all_combinations():
-            result = transpile(circuit, linear5, routing="nassc", seed=0, nassc_config=config)
+            result = transpile(circuit, Target(linear5), routing="nassc", seed=0, nassc_config=config)
             counts.append(result.cx_count)
             assert is_equivalent_after_routing(circuit, result)
         assert min(counts) > 0
@@ -147,6 +148,6 @@ class TestPipelineQuality:
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1)
         circuit.cx(1, 2)
-        result = transpile(circuit, linear5, routing="nassc", seed=0)
+        result = transpile(circuit, Target(linear5), routing="nassc", seed=0)
         assert result.num_swaps == 0
         assert result.cx_count <= 2

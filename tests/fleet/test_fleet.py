@@ -297,6 +297,33 @@ class TestFailover:
             w0.stop(drain=False, timeout=5)
             coordinator.stop(timeout=5)
 
+    def test_stop_ends_a_heartbeat_that_swallows_its_cancellation(self):
+        """Graceful stop must finish even when the in-flight heartbeat swallows the
+        cancellation (what ``asyncio.wait_for`` does on Python 3.11 when the request
+        completes in the same loop iteration as the cancel)."""
+        import threading
+
+        coordinator = start_coordinator()
+        worker = start_worker(coordinator.url, "swallow-0")
+        entered = threading.Event()
+
+        async def swallowing_heartbeat():
+            entered.set()
+            try:
+                await asyncio.sleep(3600)
+            except asyncio.CancelledError:
+                pass
+
+        try:
+            assert wait_for(lambda: worker.server.registered)
+            worker.server._heartbeat = swallowing_heartbeat
+            assert entered.wait(timeout=10)
+            worker.stop(timeout=2)
+        finally:
+            if not worker.loop.is_closed():
+                worker.loop.call_soon_threadsafe(worker.loop.stop)
+            coordinator.stop(timeout=5)
+
     def test_dead_node_job_reroutes_without_client_visible_failure(self):
         coordinator = start_coordinator()
         w0 = start_worker(coordinator.url, "victim-0")

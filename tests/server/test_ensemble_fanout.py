@@ -10,8 +10,7 @@ from repro.circuit import qasm
 from repro.server import ReproServer, parse_metric
 from repro.server.queue import JobQueue
 from repro.server.runner import JobRunner
-from repro.service.cache import ResultCache
-from repro.service.executor import _execute_trials
+from repro.service.executor import BatchTranspiler, _execute
 
 
 def ensemble_circuit(name: str = "spread6") -> QuantumCircuit:
@@ -26,13 +25,10 @@ def linear_target(qubits: int = 8) -> Target:
     return Target.from_topology("linear", qubits)
 
 
-def make_runner(**kwargs) -> JobRunner:
-    kwargs.setdefault("use_processes", False)
-    return JobRunner(JobQueue(), ResultCache(), **kwargs)
-
-
-class FakePool:
-    """Truthy stand-in so chunk planning runs without a real executor."""
+def make_runner(max_workers: int, **kwargs) -> JobRunner:
+    """A runner whose engine is never started: chunk planning needs only its size."""
+    engine = BatchTranspiler(max_workers, use_processes=False)
+    return JobRunner(JobQueue(), engine, **kwargs)
 
 
 class TestChunkPlanning:
@@ -47,7 +43,7 @@ class TestChunkPlanning:
 
     def setup_method(self):
         self.runner = make_runner(max_workers=4, ensemble_fanout_threshold=4)
-        self.runner._pool = FakePool()
+        assert self.runner.engine.max_workers == 4
 
     def test_small_ensembles_run_whole(self):
         assert self.runner._ensemble_chunks(self.record(best_of=3)) is None
@@ -56,13 +52,9 @@ class TestChunkPlanning:
     def test_unsupported_routing_runs_whole(self):
         assert self.runner._ensemble_chunks(self.record(best_of=8, routing="none")) is None
 
-    def test_no_pool_runs_whole(self):
-        self.runner._pool = None
-        assert self.runner._ensemble_chunks(self.record(best_of=8)) is None
-
     def test_single_worker_runs_whole(self):
         runner = make_runner(max_workers=1, ensemble_fanout_threshold=4)
-        runner._pool = FakePool()
+        assert runner.engine.max_workers == 1
         assert runner._ensemble_chunks(self.record(best_of=8)) is None
 
     def test_chunks_partition_all_trials_balanced(self):
@@ -88,7 +80,7 @@ class TestExecuteTrialsWorker:
             ensemble_circuit(), linear_target(),
             TranspileOptions(routing="sabre", best_of=4, seed=0),
         )
-        raw = _execute_trials(job.to_dict(), [1, 3])
+        raw = _execute(job.to_dict(), trials=[1, 3])
         assert raw["ok"]
         ensemble = raw["result"]["ensemble"]
         assert ensemble["executed_trials"] == [1, 3]
@@ -100,7 +92,7 @@ class TestExecuteTrialsWorker:
             ensemble_circuit(), linear_target(),
             TranspileOptions(routing="sabre", best_of=4, seed=0),
         )
-        raw = _execute_trials(job.to_dict(), [99])
+        raw = _execute(job.to_dict(), trials=[99])
         assert not raw["ok"]
         assert raw["error"]["exc_type"] == "TranspilerError"
 

@@ -23,6 +23,8 @@ from repro.client import JobFailed, ServerError
 from repro.server import ReproServer, parse_metric
 from repro.service import BatchTranspiler
 
+from ..conftest import kill_pool_workers
+
 
 def start_server(**kwargs):
     """Boot a server in a background thread (the shared ThreadedServer harness)."""
@@ -198,6 +200,28 @@ class TestCacheFastPath:
             assert qasm.dumps(remote.result(timeout=10).circuit) == qasm.dumps(
                 offline_result.circuit
             )
+        finally:
+            handle.stop(drain=False, timeout=5)
+
+
+class TestWorkerDeath:
+    def test_server_recovers_after_its_pool_worker_is_killed(self):
+        """A SIGKILLed process-pool worker must not leave the server failing every job."""
+        handle = start_server(use_processes=True, max_workers=1)
+        try:
+            client = handle.client()
+            target = linear_target()
+            first = client.submit(small_circuit(), target, TranspileOptions(seed=0))
+            first.result(timeout=120)
+            kill_pool_workers(handle.server.runner.engine)
+
+            circuit = small_circuit("after-kill")
+            options = TranspileOptions(routing="nassc", seed=7)
+            second = client.submit(circuit, target, options)
+            remote = second.result(timeout=120)
+            assert second.status()["state"] == "done"
+            local = transpile(circuit, target, options)
+            assert qasm.dumps(remote.circuit) == qasm.dumps(local.circuit)
         finally:
             handle.stop(drain=False, timeout=5)
 
@@ -431,6 +455,71 @@ class TestCliIntegration:
                 except OSError:
                     time.sleep(0.1)
             assert payload is not None and payload["status"] == "ok"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=15) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
+
+    def test_serve_subcommand_survives_a_killed_pool_worker(self):
+        """Killing one of two pool workers of `repro serve` must not stop the server.
+
+        The broken pool SIGTERMs its surviving worker; that signal must end the worker,
+        not reach the server's own shutdown handler through the inherited wakeup socket.
+        """
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from repro.client import ReproClient
+
+        if not os.path.isdir("/proc/self"):
+            pytest.skip("needs /proc to find the server's pool workers")
+        env = dict(os.environ)
+        src_dir = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2"],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = process.stderr.readline()
+            match = re.search(r"(http://127\.0\.0\.1:\d+) \(pool=(\w+)", banner)
+            assert match, f"no listen banner in {banner!r}"
+            if match.group(2) != "process":
+                pytest.skip("process pools unavailable in this environment")
+            client = ReproClient(match.group(1), timeout=60)
+            target = linear_target()
+            client.submit(small_circuit(), target, TranspileOptions(seed=0)).result(timeout=120)
+
+            def children():
+                found = []
+                for entry in os.listdir("/proc"):
+                    try:
+                        with open(f"/proc/{entry}/stat") as handle:
+                            fields = handle.read().rsplit(")", 1)[1].split()
+                    except (OSError, IndexError):
+                        continue
+                    if int(fields[1]) == process.pid:
+                        found.append(int(entry))
+                return found
+
+            workers = children()
+            assert workers, "the server has no pool worker processes"
+            os.kill(workers[0], signal.SIGKILL)
+
+            circuit = small_circuit("after-kill")
+            options = TranspileOptions(routing="nassc", seed=5)
+            handle = client.submit(circuit, target, options)
+            remote = handle.result(timeout=120)
+            assert handle.status()["state"] == "done"
+            assert qasm.dumps(remote.circuit) == qasm.dumps(
+                transpile(circuit, target, options).circuit
+            )
+            assert process.poll() is None, "the server exited after a pool worker died"
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=15) == 0
         finally:

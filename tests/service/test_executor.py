@@ -4,7 +4,9 @@ import pytest
 
 from repro import QuantumCircuit, linear_coupling_map
 from repro.circuit import qasm
-from repro.service import BatchTranspiler, ResultCache, TranspileJob, transpile_batch
+from repro.service import BatchTranspiler, ResultCache, TranspileJob
+
+from ..conftest import kill_pool_workers
 
 
 def small_circuit() -> QuantumCircuit:
@@ -39,7 +41,7 @@ class TestDeterminism:
         """Regression: fixed seeds must give the same circuits serial vs parallel."""
         jobs = batch_jobs()
         serial = BatchTranspiler(max_workers=1).run(jobs)
-        parallel = BatchTranspiler(max_workers=2, chunksize=1).run(jobs)
+        parallel = BatchTranspiler(max_workers=2).run(jobs)
         assert all(o.ok for o in serial + parallel)
         assert metrics(serial) == metrics(parallel)
 
@@ -48,6 +50,32 @@ class TestDeterminism:
         outcomes = BatchTranspiler(max_workers=2).run(jobs)
         assert [o.job for o in outcomes] == jobs
         assert [o.fingerprint for o in outcomes] == [j.fingerprint() for j in jobs]
+
+
+class TestWorkerDeath:
+    def test_pool_recovers_after_its_workers_are_killed(self):
+        """A SIGKILLed pool worker between two runs must not break the executor."""
+        with BatchTranspiler(max_workers=2) as executor:
+            assert all(o.ok for o in executor.run(batch_jobs(seeds=(0, 1))))
+            kill_pool_workers(executor)
+            jobs = batch_jobs(seeds=(2, 3))
+            outcomes = executor.run(jobs)
+        assert all(o.ok for o in outcomes), [str(o.error) for o in outcomes if not o.ok]
+        assert not any(o.from_cache for o in outcomes)
+        assert metrics(outcomes) == metrics(BatchTranspiler(max_workers=1).run(jobs))
+
+
+class TestSubmit:
+    def test_cancelled_submission_settles_quietly(self, caplog):
+        """A caller that cancels its future (a server shutting down) must not make the
+        engine's completion callback fail when the job finishes later."""
+        first, second = batch_jobs(seeds=(0,))
+        with BatchTranspiler(max_workers=1, use_processes=False) as executor:
+            assert executor.submit(first).cancel()
+            # One thread runs the jobs in order, so the first job's callback has run
+            # by the time the second job's result is in.
+            assert executor.submit(second).result(timeout=120)["ok"]
+        assert "exception calling callback" not in caplog.text
 
 
 class TestCaching:
@@ -174,8 +202,8 @@ class TestProgressAndHelpers:
         assert outcomes[0].result.circuit.name == "first"
         assert outcomes[1].result.circuit.name == "second"
 
-    def test_transpile_batch_helper(self):
-        outcomes = transpile_batch(batch_jobs(seeds=(0,)), max_workers=1)
+    def test_single_worker_batch_succeeds(self):
+        outcomes = BatchTranspiler(max_workers=1).run(batch_jobs(seeds=(0,)))
         assert all(o.ok for o in outcomes)
 
     def test_results_unwraps_in_order(self):

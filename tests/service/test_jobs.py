@@ -276,7 +276,7 @@ class TestExecution:
     def test_run_matches_direct_transpile(self):
         coupling = linear_coupling_map(5)
         circuit = small_circuit()
-        direct = transpile(circuit, coupling, routing="nassc", seed=0)
+        direct = transpile(circuit, Target(coupling), routing="nassc", seed=0)
         via_job = TranspileJob.from_circuit(circuit, coupling, routing="nassc", seed=0).run()
         assert via_job.cx_count == direct.cx_count
         assert via_job.depth == direct.depth
@@ -292,7 +292,7 @@ class TestExecution:
 class TestTranspileResultRoundTrip:
     def test_to_dict_from_dict(self):
         coupling = linear_coupling_map(5)
-        result = transpile(small_circuit(), coupling, routing="nassc", seed=1)
+        result = transpile(small_circuit(), Target(coupling), routing="nassc", seed=1)
         clone = TranspileResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert clone.cx_count == result.cx_count
         assert clone.depth == result.depth
@@ -306,7 +306,7 @@ class TestTranspileResultRoundTrip:
 
     def test_metrics_embedded_in_payload(self):
         coupling = linear_coupling_map(5)
-        result = transpile(small_circuit(), coupling, routing="sabre", seed=0)
+        result = transpile(small_circuit(), Target(coupling), routing="sabre", seed=0)
         payload = result.to_dict()
         assert payload["metrics"]["cx_count"] == result.cx_count
         assert payload["metrics"]["depth"] == result.depth
